@@ -20,6 +20,8 @@
 //! seeds, model construction and measurement order are all unchanged — which
 //! is exactly what these tests pin.
 
+mod common;
+
 use std::fs;
 use std::path::PathBuf;
 
@@ -386,12 +388,9 @@ fn async_smoke_records_replay_the_pre_chaos_fixtures_byte_for_byte() {
     ] {
         let scenario = registry.get(name).unwrap();
         let (_, path) = run_smoke(scenario, &format!("fixture-{name}"));
-        let fixture_path = PathBuf::from(env!("CARGO_MANIFEST_DIR"))
-            .join("tests/golden")
-            .join(fixture);
         assert_eq!(
             fs::read(&path).unwrap(),
-            fs::read(&fixture_path).unwrap(),
+            common::read_golden_fixture(fixture),
             "{name} smoke records must replay the recorded fixture byte for byte"
         );
         fs::remove_dir_all(path.parent().unwrap()).ok();

@@ -17,6 +17,8 @@
 //! * `exp report` input (`report_from_disk`) rebuilds the verdict tables
 //!   from the stored files alone, without rewriting the checkpoint.
 
+mod common;
+
 use std::fs;
 use std::path::PathBuf;
 
@@ -129,12 +131,9 @@ fn series_and_profiler_leave_the_async_golden_fixtures_byte_identical() {
         let _ = fs::remove_dir_all(&base);
         let opts = smoke_opts(base.clone());
         let (main, series) = run_series_smoke(scenario, &opts);
-        let fixture_path = PathBuf::from(env!("CARGO_MANIFEST_DIR"))
-            .join("tests/golden")
-            .join(fixture);
         assert_eq!(
             main,
-            fs::read(&fixture_path).unwrap(),
+            common::read_golden_fixture(fixture),
             "{name} main records must stay byte-identical with telemetry attached"
         );
         assert!(!series.is_empty(), "{name} recorded a series side file");

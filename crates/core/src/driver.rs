@@ -58,8 +58,10 @@ pub enum VictimPolicy {
     OldestFirst,
     /// The alive node with the most incident links dies (adaptive
     /// degree-targeted adversary; ties broken towards the smallest
-    /// identifier). Costs one O(n) scan per death — meant for adversarial
-    /// experiments, not for the `n = 10^6` hot path.
+    /// identifier). The Poisson hosts serve it from the graph's
+    /// degree-bucketed member index ([`highest_degree_victim_indexed`]):
+    /// amortised O(1) per incident edge change, not an O(n) scan per death,
+    /// so degree-targeted grids run at `n = 10^6`.
     HighestDegree,
 }
 

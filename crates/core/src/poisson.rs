@@ -3,7 +3,7 @@
 use std::collections::VecDeque;
 
 use churn_graph::hashing::IdHashMap;
-use churn_graph::{DynamicGraph, EdgeSlot, NodeId, NodeIdAllocator, RemovedNode};
+use churn_graph::{DynamicGraph, EdgeSlot, NodeId, NodeIdAllocator, RemovedNode, SAMPLE_NONE};
 use churn_stochastic::process::{BirthDeathChain, Jump, JumpKind};
 use churn_stochastic::rng::{seeded_rng, SimRng};
 
@@ -295,15 +295,18 @@ impl PoissonModel {
         if self.config.edge_policy.regenerates() {
             // dangling_dense is aligned with dangling_slots and sorted by
             // (owner id, slot), so the regeneration draw order is
-            // deterministic. Replacement targets are drawn in a batch first,
-            // letting the per-owner record touches overlap.
+            // deterministic. Replacement targets are drawn in one bulk call
+            // first, which also loads the drawn records ahead of the
+            // re-pointing.
             self.sample_scratch.clear();
-            for &(owner_idx, _) in &removed.dangling_dense {
-                match self.graph.sample_member_excluding(&mut self.rng, owner_idx) {
-                    Some(target_idx) => self.sample_scratch.push(target_idx),
-                    None => self.sample_scratch.push(u32::MAX),
-                }
-            }
+            self.graph.sample_members_each_excluding_into(
+                &mut self.rng,
+                removed
+                    .dangling_dense
+                    .iter()
+                    .map(|&(owner_idx, _)| owner_idx),
+                &mut self.sample_scratch,
+            );
             for (pair, &target_idx) in removed
                 .dangling_slots
                 .iter()
@@ -311,7 +314,7 @@ impl PoissonModel {
                 .zip(&self.sample_scratch)
             {
                 let (slot, &(owner_idx, slot_pos)) = pair;
-                if target_idx == u32::MAX {
+                if target_idx == SAMPLE_NONE {
                     continue;
                 }
                 self.graph

@@ -2,7 +2,7 @@
 
 use std::collections::VecDeque;
 
-use churn_graph::{DynamicGraph, EdgeSlot, NodeId, NodeIdAllocator, RemovedNode};
+use churn_graph::{DynamicGraph, EdgeSlot, NodeId, NodeIdAllocator, RemovedNode, SAMPLE_NONE};
 use churn_stochastic::rng::{seeded_rng, SimRng};
 
 use crate::driver::{self, ChurnHost};
@@ -130,20 +130,23 @@ impl StreamingModel {
     /// [`driver::streaming_round`] loop; this model contributes only its
     /// spawn/kill hooks.
     pub fn step_round(&mut self) -> ChurnSummary {
-        self.round += 1;
         let mut summary = ChurnSummary::new();
+        self.step_round_into(&mut summary);
+        summary
+    }
+
+    /// Like [`Self::step_round`], but writes the churn summary into a
+    /// caller-owned buffer (cleared first). With a reused summary,
+    /// steady-state rounds allocate nothing (`tests/alloc_free.rs` pins
+    /// this); warm-up drives the model through this entry point.
+    pub fn step_round_into(&mut self, summary: &mut ChurnSummary) {
+        summary.clear();
+        self.round += 1;
         // Detach the queue so the driver can mutate it alongside the hooks
         // (a move of the VecDeque header, no allocation).
         let mut order = std::mem::take(&mut self.order);
-        driver::streaming_round(
-            self,
-            &mut order,
-            self.config.n,
-            self.round as f64,
-            &mut summary,
-        );
+        driver::streaming_round(self, &mut order, self.config.n, self.round as f64, summary);
         self.order = order;
-        summary
     }
 
     fn spawn_node(&mut self) -> (NodeId, u32) {
@@ -214,16 +217,18 @@ impl StreamingModel {
         if self.config.edge_policy.regenerates() {
             // dangling_dense is aligned with dangling_slots and sorted by
             // (owner id, slot), so the regeneration draw order is
-            // deterministic. Replacement targets are drawn in a batch first
-            // (the draws do not depend on the re-pointing), letting the
-            // per-owner record touches overlap.
+            // deterministic. Replacement targets are drawn in one bulk call
+            // first (the draws do not depend on the re-pointing), which also
+            // loads the drawn records ahead of the re-pointing.
             self.sample_scratch.clear();
-            for &(owner_idx, _) in &removed.dangling_dense {
-                match self.graph.sample_member_excluding(&mut self.rng, owner_idx) {
-                    Some(target_idx) => self.sample_scratch.push(target_idx),
-                    None => self.sample_scratch.push(u32::MAX),
-                }
-            }
+            self.graph.sample_members_each_excluding_into(
+                &mut self.rng,
+                removed
+                    .dangling_dense
+                    .iter()
+                    .map(|&(owner_idx, _)| owner_idx),
+                &mut self.sample_scratch,
+            );
             for (pair, &target_idx) in removed
                 .dangling_slots
                 .iter()
@@ -231,7 +236,7 @@ impl StreamingModel {
                 .zip(&self.sample_scratch)
             {
                 let (slot, &(owner_idx, slot_pos)) = pair;
-                if target_idx == u32::MAX {
+                if target_idx == SAMPLE_NONE {
                     continue;
                 }
                 self.graph
@@ -314,8 +319,9 @@ impl DynamicNetwork for StreamingModel {
     }
 
     fn warm_up(&mut self) {
+        let mut summary = ChurnSummary::new();
         while !self.is_warm() {
-            self.step_round();
+            self.step_round_into(&mut summary);
         }
     }
 

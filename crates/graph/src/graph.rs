@@ -2,13 +2,15 @@
 //!
 //! # Performance architecture
 //!
-//! Internally the graph is a **slab arena**: every alive node occupies one cell
-//! of a `Vec<Option<NodeRecord>>`, vacated cells are recycled through a free
-//! list, and all adjacency bookkeeping (out-slot targets, in-reference
-//! multisets) is stored as dense `u32` slab indices rather than [`NodeId`]s.
-//! A `NodeId → u32` map is maintained only for the identifier-based public
-//! API; the churn models drive the graph through the `*_at` / `*_indexed`
-//! dense methods and never touch a hash table on their hot paths. A dense
+//! Internally the graph is a **slab arena**: every alive node occupies one
+//! fixed-width record of a flat `u32` arena (see `arena.rs` for the layout
+//! and its overflow rule), vacated cells are recycled through a free list,
+//! and all adjacency bookkeeping (out-slot targets, in-reference multisets)
+//! is stored as dense `u32` slab indices rather than [`NodeId`]s.
+//! A `NodeId → u32` map serves the identifier-based public API; the churn
+//! models drive the graph through the `*_at` / `*_indexed` dense methods, so
+//! their only hash-table work is keeping that map in step on every birth and
+//! death. A dense
 //! `members` vector of occupied cells (swap-remove order) supports O(1)
 //! uniform alive-node sampling.
 //!
@@ -24,6 +26,7 @@ use std::collections::HashMap;
 
 use serde::{Deserialize, Serialize};
 
+use crate::arena::{NodeArena, NO_TARGET};
 use crate::hashing::IdHashMap;
 use crate::{GraphError, NodeId, Result};
 
@@ -180,157 +183,6 @@ impl Default for RemovedNode {
     }
 }
 
-/// Sentinel for an unconnected out-slot (the dense-index equivalent of
-/// `None`); slab indices never reach `u32::MAX`.
-const NO_TARGET: u32 = u32::MAX;
-
-/// A copy-on-write-free small vector: the first `N` elements live inline in
-/// the record (one cache line away from the rest of the node), and only nodes
-/// whose degree exceeds `N` spill to the heap. In the stationary regime of
-/// the churn models almost no record spills, so node birth/death performs no
-/// heap allocation and cloning a graph is a flat memcpy of the slab.
-#[derive(Debug, Clone)]
-struct MiniVec<const N: usize> {
-    len: u32,
-    inline: [u32; N],
-    /// Boxed so the common no-spill record costs one pointer, not a Vec
-    /// (the double indirection only ever costs on the rare spilled nodes).
-    #[allow(clippy::box_collection)]
-    spill: Option<Box<Vec<u32>>>,
-}
-
-impl<const N: usize> MiniVec<N> {
-    fn new() -> Self {
-        MiniVec {
-            len: 0,
-            inline: [0; N],
-            spill: None,
-        }
-    }
-
-    fn filled(len: usize, value: u32) -> Self {
-        let mut v = Self::new();
-        for _ in 0..len {
-            v.push(value);
-        }
-        v
-    }
-
-    #[inline]
-    fn len(&self) -> usize {
-        self.len as usize
-    }
-
-    #[inline]
-    fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    fn spill_slice(&self) -> &[u32] {
-        self.spill.as_ref().map_or(&[], |boxed| boxed.as_slice())
-    }
-
-    #[inline]
-    fn get(&self, i: usize) -> u32 {
-        if i < N {
-            self.inline[i]
-        } else {
-            self.spill_slice()[i - N]
-        }
-    }
-
-    #[inline]
-    fn set(&mut self, i: usize, value: u32) {
-        if i < N {
-            self.inline[i] = value;
-        } else {
-            self.spill.as_mut().expect("index within spilled length")[i - N] = value;
-        }
-    }
-
-    #[inline]
-    fn push(&mut self, value: u32) {
-        let i = self.len as usize;
-        if i < N {
-            self.inline[i] = value;
-        } else {
-            self.spill.get_or_insert_with(Default::default).push(value);
-        }
-        self.len += 1;
-    }
-
-    #[inline]
-    fn swap_remove(&mut self, i: usize) {
-        let last = self.len() - 1;
-        let moved = self.get(last);
-        self.set(i, moved);
-        if last >= N {
-            self.spill
-                .as_mut()
-                .expect("spill exists for spilled length")
-                .pop();
-        }
-        self.len -= 1;
-    }
-
-    /// Removes the first element, shifting the rest down (order-preserving,
-    /// O(len) — trivial at the inline sizes used here). Needed where element
-    /// order is meaningful, e.g. oldest-first in-reference eviction.
-    fn remove_front(&mut self) {
-        let len = self.len();
-        debug_assert!(len > 0, "remove_front on an empty MiniVec");
-        for j in 1..len.min(N) {
-            self.inline[j - 1] = self.inline[j];
-        }
-        if len > N {
-            let spill = self
-                .spill
-                .as_mut()
-                .expect("spill exists for spilled length");
-            self.inline[N - 1] = spill[0];
-            spill.remove(0);
-        }
-        self.len -= 1;
-    }
-
-    fn iter(&self) -> impl Iterator<Item = u32> + '_ {
-        self.inline[..self.len().min(N)]
-            .iter()
-            .chain(self.spill_slice())
-            .copied()
-    }
-
-    fn position(&self, value: u32) -> Option<usize> {
-        self.iter().position(|x| x == value)
-    }
-
-    fn contains(&self, value: u32) -> bool {
-        self.position(value).is_some()
-    }
-}
-
-#[derive(Debug, Clone)]
-struct NodeRecord {
-    /// The node's identifier (the reverse of the `NodeId → index` map).
-    id: NodeId,
-    /// Position of this node's slab index inside `DynamicGraph::members`.
-    member_pos: u32,
-    /// The node's own connection requests as dense indices; [`NO_TARGET`]
-    /// means the slot is currently unconnected (its target died and no
-    /// regeneration happened).
-    out_slots: MiniVec<8>,
-    /// Flat multiset of the out-slots (of other nodes) pointing at this node:
-    /// one entry per pointing slot, owners repeated with multiplicity.
-    /// Expected length is O(d), so linear scans beat hashing here.
-    in_refs: MiniVec<12>,
-}
-
-impl NodeRecord {
-    fn filled_out(&self) -> usize {
-        self.out_slots.iter().filter(|&s| s != NO_TARGET).count()
-    }
-}
-
 /// A dynamic graph whose nodes own a fixed array of out-going request slots.
 ///
 /// This is the topology object every model of the paper mutates:
@@ -372,7 +224,8 @@ impl NodeRecord {
 /// ```
 #[derive(Debug, Clone)]
 pub struct DynamicGraph {
-    slab: Vec<Option<NodeRecord>>,
+    /// One fixed-width record per slab cell (see [`crate::arena`]).
+    arena: NodeArena,
     free: Vec<u32>,
     members: Vec<u32>,
     index: IdHashMap<NodeId, u32>,
@@ -409,6 +262,9 @@ pub struct DynamicGraph {
     /// [`Self::set_tag_at`] and node removal), so callers can account for
     /// the tagged subpopulation in O(1).
     tagged_members: usize,
+    /// Reused copy of a dying node's adjacency (its cell is vacated while
+    /// the neighbours are still being unhooked).
+    removal_scratch: Vec<u32>,
 }
 
 /// Sentinel in [`DynamicGraph::sample_members_each_excluding_into`]'s exclude
@@ -484,13 +340,12 @@ impl DegreeIndex {
     /// Reconciles every pending cell against the graph's current incident
     /// counts. Amortised O(1) per recorded change (duplicates are cheap:
     /// an already-reconciled cell compares equal and is skipped).
-    fn flush(&mut self, slab: &[Option<NodeRecord>]) {
-        self.grow(slab.len());
+    fn flush(&mut self, arena: &NodeArena) {
+        self.grow(arena.len());
         while let Some(idx) = self.pending.pop() {
-            let current = slab
-                .get(idx as usize)
-                .and_then(|cell| cell.as_ref())
-                .map(|rec| rec.filled_out() + rec.in_refs.len());
+            let current = arena
+                .occupied(idx)
+                .then(|| arena.lists(idx).incident_links());
             match current {
                 None => self.remove(idx),
                 Some(count) => {
@@ -508,7 +363,7 @@ impl DegreeIndex {
     /// scan. Cost: the downward walk over empty buckets (amortised against
     /// the insertions that raised `max_bucket`) plus one scan of the top
     /// non-empty bucket for the identifier tie-break.
-    fn best(&mut self, slab: &[Option<NodeRecord>]) -> Option<(NodeId, u32)> {
+    fn best(&mut self, arena: &NodeArena) -> Option<(NodeId, u32)> {
         let mut k = self.max_bucket;
         loop {
             if let Some(bucket) = self.buckets.get(k) {
@@ -516,10 +371,8 @@ impl DegreeIndex {
                     self.max_bucket = k;
                     let mut best: Option<(NodeId, u32)> = None;
                     for &idx in bucket {
-                        let id = slab[idx as usize]
-                            .as_ref()
-                            .expect("tracked cells are occupied after a flush")
-                            .id;
+                        debug_assert!(arena.occupied(idx), "tracked cells are occupied");
+                        let id = arena.id(idx);
                         if best.is_none_or(|(best_id, _)| id < best_id) {
                             best = Some((id, idx));
                         }
@@ -553,7 +406,7 @@ impl DynamicGraph {
     #[must_use]
     pub fn with_capacity(nodes: usize) -> Self {
         DynamicGraph {
-            slab: Vec::with_capacity(nodes),
+            arena: NodeArena::with_capacity(nodes),
             free: Vec::new(),
             members: Vec::with_capacity(nodes),
             index: IdHashMap::with_capacity_and_hasher(nodes, Default::default()),
@@ -565,6 +418,7 @@ impl DynamicGraph {
             degree: None,
             tags: Vec::new(),
             tagged_members: 0,
+            removal_scratch: Vec::new(),
         }
     }
 
@@ -640,7 +494,7 @@ impl DynamicGraph {
             return;
         }
         let mut index = Box::<DegreeIndex>::default();
-        index.grow(self.slab.len());
+        index.grow(self.arena.len());
         for &idx in &self.members {
             let count = self
                 .incident_link_count_at(idx)
@@ -667,23 +521,21 @@ impl DynamicGraph {
     pub fn highest_degree_member(&mut self) -> Option<(NodeId, u32)> {
         match self.degree.take() {
             Some(mut index) => {
-                index.flush(&self.slab);
-                let best = index.best(&self.slab);
+                index.flush(&self.arena);
+                let best = index.best(&self.arena);
                 self.degree = Some(index);
                 best
             }
             None => {
                 let mut best: Option<(usize, NodeId, u32)> = None;
                 for &idx in &self.members {
-                    let rec = self.slab[idx as usize]
-                        .as_ref()
-                        .expect("member cells are occupied");
-                    let links = rec.filled_out() + rec.in_refs.len();
+                    let links = self.arena.lists(idx).incident_links();
+                    let id = self.arena.id(idx);
                     let better = best.is_none_or(|(best_links, best_id, _)| {
-                        links > best_links || (links == best_links && rec.id < best_id)
+                        links > best_links || (links == best_links && id < best_id)
                     });
                     if better {
-                        best = Some((links, rec.id, idx));
+                        best = Some((links, id, idx));
                     }
                 }
                 best.map(|(_, id, idx)| (id, idx))
@@ -715,8 +567,8 @@ impl DynamicGraph {
         if tag == 0 && self.tags.is_empty() {
             return Ok(());
         }
-        if self.tags.len() < self.slab.len() {
-            self.tags.resize(self.slab.len(), 0);
+        if self.tags.len() < self.arena.len() {
+            self.tags.resize(self.arena.len(), 0);
         }
         let cell = &mut self.tags[idx as usize];
         self.tagged_members += usize::from(tag != 0);
@@ -770,7 +622,7 @@ impl DynamicGraph {
     ///
     /// Use [`Self::sorted_node_ids`] when deterministic iteration order matters.
     pub fn node_ids(&self) -> impl Iterator<Item = NodeId> + '_ {
-        self.members.iter().map(|&idx| self.record(idx).id)
+        self.members.iter().map(|&idx| self.arena.id(idx))
     }
 
     /// All alive node identifiers in increasing order.
@@ -818,7 +670,7 @@ impl DynamicGraph {
     /// (e.g. the flooding bitset).
     #[must_use]
     pub fn slab_len(&self) -> usize {
-        self.slab.len()
+        self.arena.len()
     }
 
     /// The dense index of an alive node.
@@ -832,10 +684,7 @@ impl DynamicGraph {
     /// cached `(idx, id)` pair is still current iff `id_at(idx) == Some(id)`.
     #[must_use]
     pub fn id_at(&self, idx: u32) -> Option<NodeId> {
-        self.slab
-            .get(idx as usize)
-            .and_then(|cell| cell.as_ref())
-            .map(|rec| rec.id)
+        self.arena.id_at(idx)
     }
 
     /// A generation-tagged handle for the node currently at dense index `idx`,
@@ -925,8 +774,9 @@ impl DynamicGraph {
     /// `exclude`, appending them to `out`. Equivalent to `count` calls to
     /// [`Self::sample_member_excluding`], but keeps the random-number /
     /// member-table phase separate from whatever record work the caller does
-    /// next, which lets the out-of-order core overlap the cache misses of the
-    /// subsequent per-target touches.
+    /// next, and then loads every drawn record once with no dependency
+    /// between the loads, so their cache misses overlap instead of
+    /// serialising behind the caller's per-target mutations.
     ///
     /// Stops early (appending fewer than `count`) when no valid target exists.
     pub fn sample_members_excluding_into<R: rand::Rng + ?Sized>(
@@ -936,12 +786,14 @@ impl DynamicGraph {
         count: usize,
         out: &mut Vec<u32>,
     ) {
+        let start = out.len();
         for _ in 0..count {
             match self.sample_member_excluding(rng, exclude) {
                 Some(idx) => out.push(idx),
                 None => break,
             }
         }
+        self.arena.touch(out[start..].iter().copied());
     }
 
     /// Bulk variant of [`Self::sample_member_excluding`] with a *per-entry*
@@ -957,15 +809,19 @@ impl DynamicGraph {
     /// non-skipped entries — so folding a per-request loop into one bulk call
     /// (the RAES repair sweep does) preserves recorded trajectories bit for
     /// bit. The win is keeping the whole sampling phase inside one member
-    /// table walk, ahead of whatever record work the caller does next.
+    /// table walk, ahead of whatever record work the caller does next; the
+    /// drawn records are then loaded once each, independently, so their
+    /// cache misses overlap (as in [`Self::sample_members_excluding_into`]).
     pub fn sample_members_each_excluding_into<R: rand::Rng + ?Sized>(
         &self,
         rng: &mut R,
-        excludes: &[u32],
+        excludes: impl IntoIterator<Item = u32>,
         out: &mut Vec<u32>,
     ) {
-        out.reserve(excludes.len());
-        for &exclude in excludes {
+        let start = out.len();
+        let excludes = excludes.into_iter();
+        out.reserve(excludes.size_hint().0);
+        for exclude in excludes {
             if exclude == SAMPLE_SKIP {
                 out.push(SAMPLE_SKIP);
                 continue;
@@ -975,6 +831,7 @@ impl DynamicGraph {
                     .unwrap_or(SAMPLE_NONE),
             );
         }
+        self.arena.touch(out[start..].iter().copied());
     }
 
     /// Appends the dense indices of every undirected neighbour of `idx` to
@@ -984,11 +841,9 @@ impl DynamicGraph {
     ///
     /// Appends nothing when `idx` is vacant.
     pub fn neighbors_dense_into(&self, idx: u32, out: &mut Vec<u32>) {
-        let Some(rec) = self.slab.get(idx as usize).and_then(|cell| cell.as_ref()) else {
-            return;
-        };
-        out.extend(rec.out_slots.iter().filter(|&t| t != NO_TARGET));
-        out.extend(rec.in_refs.iter());
+        let lists = self.arena.lists(idx);
+        out.extend(lists.targets());
+        out.extend(lists.ins());
     }
 
     /// Iterates the dense indices of every undirected neighbour of `idx`
@@ -1002,16 +857,8 @@ impl DynamicGraph {
     /// concurrently over one `&DynamicGraph` (the parallel flooding engine in
     /// `churn-core` does exactly that across slab shards).
     pub fn neighbor_indices_at(&self, idx: u32) -> impl Iterator<Item = u32> + '_ {
-        self.slab
-            .get(idx as usize)
-            .and_then(|cell| cell.as_ref())
-            .into_iter()
-            .flat_map(|rec| {
-                rec.out_slots
-                    .iter()
-                    .filter(|&t| t != NO_TARGET)
-                    .chain(rec.in_refs.iter())
-            })
+        let lists = self.arena.lists(idx);
+        lists.targets().chain(lists.ins())
     }
 
     /// Splits the slab index space `0..slab_len` into at most `shards`
@@ -1024,7 +871,7 @@ impl DynamicGraph {
     ///
     /// Yields nothing for an empty slab; never yields an empty range.
     pub fn par_alive_ranges(&self, shards: usize) -> impl Iterator<Item = std::ops::Range<u32>> {
-        let len = self.slab.len() as u32;
+        let len = self.arena.len() as u32;
         let shards = (shards.max(1) as u32).min(len.max(1));
         let chunk = len.div_ceil(shards).max(1);
         (0..shards).filter_map(move |s| {
@@ -1042,10 +889,7 @@ impl DynamicGraph {
     /// (accept a request only while `in_request_count_at < c·d`).
     #[must_use]
     pub fn in_request_count_at(&self, idx: u32) -> Option<usize> {
-        self.slab
-            .get(idx as usize)
-            .and_then(|cell| cell.as_ref())
-            .map(|rec| rec.in_refs.len())
+        self.occupied(idx).then(|| self.arena.lists(idx).in_len())
     }
 
     /// Iterates the out-slot targets of the node at `idx`, in slot order —
@@ -1054,11 +898,10 @@ impl DynamicGraph {
     /// [`Self::out_slots`] / [`Self::empty_out_slots`]: overlay maintenance
     /// loops walk it to find empty slots without touching the identifier map.
     pub fn out_slot_targets_at(&self, idx: u32) -> impl Iterator<Item = Option<u32>> + '_ {
-        self.slab
-            .get(idx as usize)
-            .and_then(|cell| cell.as_ref())
-            .into_iter()
-            .flat_map(|rec| rec.out_slots.iter().map(|t| (t != NO_TARGET).then_some(t)))
+        self.arena
+            .lists(idx)
+            .outs()
+            .map(|t| (t != NO_TARGET).then_some(t))
     }
 
     /// Returns `true` when the alive nodes at `u` and `v` are adjacent in
@@ -1067,10 +910,8 @@ impl DynamicGraph {
     /// cell is vacant or out of range.
     #[must_use]
     pub fn has_edge_at(&self, u: u32, v: u32) -> bool {
-        let Some(rec) = self.slab.get(u as usize).and_then(|cell| cell.as_ref()) else {
-            return false;
-        };
-        self.occupied(v) && (rec.out_slots.contains(v) || rec.in_refs.contains(v))
+        let lists = self.arena.lists(u);
+        self.occupied(v) && (lists.outs().any(|t| t == v) || lists.ins().any(|o| o == v))
     }
 
     /// Number of incident links of the node at `idx`, *with multiplicity*
@@ -1081,10 +922,8 @@ impl DynamicGraph {
     /// distinct-neighbour degree, and identical except on multi-edges.
     #[must_use]
     pub fn incident_link_count_at(&self, idx: u32) -> Option<usize> {
-        self.slab
-            .get(idx as usize)
-            .and_then(|cell| cell.as_ref())
-            .map(|rec| rec.filled_out() + rec.in_refs.len())
+        self.occupied(idx)
+            .then(|| self.arena.lists(idx).incident_links())
     }
 
     /// The owner (dense index) of the earliest-recorded surviving in-reference
@@ -1098,8 +937,7 @@ impl DynamicGraph {
     /// saturation policy) needs.
     #[must_use]
     pub fn oldest_in_ref_at(&self, idx: u32) -> Option<u32> {
-        let rec = self.slab.get(idx as usize).and_then(|cell| cell.as_ref())?;
-        (!rec.in_refs.is_empty()).then(|| rec.in_refs.get(0))
+        self.arena.lists(idx).ins().next()
     }
 
     /// Severs the earliest-recorded in-reference of `idx` (its approximately
@@ -1115,20 +953,15 @@ impl DynamicGraph {
     /// eviction step of in-degree-capped overlay policies (the RAES
     /// `evict-oldest` knob).
     pub fn shed_oldest_in_ref(&mut self, idx: u32) -> Option<(u32, usize)> {
-        let rec = self.slab.get_mut(idx as usize)?.as_mut()?;
-        if rec.in_refs.is_empty() {
+        if !self.occupied(idx) {
             return None;
         }
-        let owner = rec.in_refs.get(0);
-        rec.in_refs.remove_front();
-        let owner_rec = self.slab[owner as usize]
-            .as_mut()
-            .expect("in-reference owners are alive");
-        let slot = owner_rec
-            .out_slots
-            .position(idx)
+        let owner = self.arena.in_pop_front(idx)?;
+        let slot = self
+            .arena
+            .out_position(owner, idx)
             .expect("in-reference implies a pointing out-slot");
-        owner_rec.out_slots.set(slot, NO_TARGET);
+        self.arena.out_set(owner, slot, NO_TARGET);
         self.filled_slots -= 1;
         if self.observing() {
             self.mark_dirty(idx);
@@ -1137,22 +970,13 @@ impl DynamicGraph {
         Some((owner, slot))
     }
 
-    fn record(&self, idx: u32) -> &NodeRecord {
-        self.slab[idx as usize]
-            .as_ref()
-            .expect("dense index of an alive node")
-    }
-
-    fn record_mut(&mut self, idx: u32) -> &mut NodeRecord {
-        self.slab[idx as usize]
-            .as_mut()
-            .expect("dense index of an alive node")
+    /// The identifier of an alive node's cell.
+    fn id_of(&self, idx: u32) -> NodeId {
+        self.id_at(idx).expect("dense index of an alive node")
     }
 
     fn occupied(&self, idx: u32) -> bool {
-        self.slab
-            .get(idx as usize)
-            .is_some_and(|cell| cell.is_some())
+        self.arena.occupied(idx)
     }
 
     // ------------------------------------------------------------------
@@ -1179,28 +1003,29 @@ impl DynamicGraph {
         if self.index.contains_key(&id) {
             return Err(GraphError::DuplicateNode(id));
         }
-        let record = NodeRecord {
-            id,
-            member_pos: self.members.len() as u32,
-            out_slots: MiniVec::filled(out_degree, NO_TARGET),
-            in_refs: MiniVec::new(),
-        };
         let idx = match self.free.pop() {
             Some(idx) => {
                 // A recycled cell breaks the index-order = id-order property.
                 self.id_sorted = false;
-                self.slab[idx as usize] = Some(record);
                 // Vacant-even → occupied-odd.
                 self.generations[idx as usize] = self.generations[idx as usize].wrapping_add(1);
                 idx
             }
             None => {
-                let idx = self.slab.len() as u32;
-                self.slab.push(Some(record));
                 self.generations.push(1);
+                let idx = self.arena.push_vacant(out_degree);
+                // The free list never holds more than every cell: sizing it
+                // with the arena's capacity keeps removals allocation-free
+                // (it regrows only when the arena itself does).
+                let cells = self.arena.cell_capacity();
+                if self.free.capacity() < cells {
+                    self.free.reserve_exact(cells - self.free.len());
+                }
                 idx
             }
         };
+        self.arena
+            .occupy(idx, id, self.members.len() as u32, out_degree);
         if id.raw() < self.next_sorted_id {
             self.id_sorted = false;
         }
@@ -1226,9 +1051,7 @@ impl DynamicGraph {
     /// Returns [`GraphError::UnknownNode`] if `id` is not alive.
     pub fn push_out_slot(&mut self, id: NodeId) -> Result<usize> {
         let idx = self.resolve(id)?;
-        let rec = self.record_mut(idx);
-        rec.out_slots.push(NO_TARGET);
-        Ok(rec.out_slots.len() - 1)
+        Ok(self.arena.out_push(idx))
     }
 
     fn resolve(&self, id: NodeId) -> Result<u32> {
@@ -1258,7 +1081,7 @@ impl DynamicGraph {
         let target_idx = self.resolve(target)?;
         let owner_idx = self.resolve(owner)?;
         let prev = self.set_out_slot_at(owner_idx, slot, target_idx)?;
-        Ok(prev.map(|idx| self.record(idx).id))
+        Ok(prev.map(|idx| self.id_of(idx)))
     }
 
     /// Dense-index variant of [`Self::set_out_slot`]; returns the previous
@@ -1283,30 +1106,13 @@ impl DynamicGraph {
         if !self.occupied(target_idx) {
             return Err(GraphError::VacantIndex(target_idx));
         }
-        let prev = {
-            let Some(rec) = self
-                .slab
-                .get_mut(owner_idx as usize)
-                .and_then(Option::as_mut)
-            else {
-                return Err(GraphError::VacantIndex(owner_idx));
-            };
-            let len = rec.out_slots.len();
-            if slot >= len {
-                return Err(GraphError::SlotOutOfRange {
-                    node: rec.id,
-                    slot,
-                    len,
-                });
-            }
-            let prev = rec.out_slots.get(slot);
-            rec.out_slots.set(slot, target_idx);
-            prev
-        };
+        self.check_slot(owner_idx, slot)?;
+        let prev = self.arena.out_get(owner_idx, slot);
+        self.arena.out_set(owner_idx, slot, target_idx);
         if prev != NO_TARGET {
             if prev != target_idx {
-                self.dec_in_ref(prev, owner_idx);
-                self.inc_in_ref(target_idx, owner_idx);
+                self.arena.in_remove(prev, owner_idx);
+                self.arena.in_push(target_idx, owner_idx);
                 if self.observing() {
                     self.mark_dirty(owner_idx);
                     self.mark_dirty(prev);
@@ -1315,7 +1121,7 @@ impl DynamicGraph {
             }
             // filled count unchanged: slot was already occupied
         } else {
-            self.inc_in_ref(target_idx, owner_idx);
+            self.arena.in_push(target_idx, owner_idx);
             self.filled_slots += 1;
             if self.observing() {
                 self.mark_dirty(owner_idx);
@@ -1334,7 +1140,7 @@ impl DynamicGraph {
     pub fn clear_out_slot(&mut self, owner: NodeId, slot: usize) -> Result<Option<NodeId>> {
         let owner_idx = self.resolve(owner)?;
         let prev = self.clear_out_slot_at(owner_idx, slot)?;
-        Ok(prev.map(|idx| self.record(idx).id))
+        Ok(prev.map(|idx| self.id_of(idx)))
     }
 
     /// Dense-index variant of [`Self::clear_out_slot`].
@@ -1344,28 +1150,11 @@ impl DynamicGraph {
     /// As [`Self::clear_out_slot`]; a vacant `owner_idx` is reported as
     /// [`GraphError::VacantIndex`].
     pub fn clear_out_slot_at(&mut self, owner_idx: u32, slot: usize) -> Result<Option<u32>> {
-        let prev = {
-            let Some(rec) = self
-                .slab
-                .get_mut(owner_idx as usize)
-                .and_then(Option::as_mut)
-            else {
-                return Err(GraphError::VacantIndex(owner_idx));
-            };
-            let len = rec.out_slots.len();
-            if slot >= len {
-                return Err(GraphError::SlotOutOfRange {
-                    node: rec.id,
-                    slot,
-                    len,
-                });
-            }
-            let prev = rec.out_slots.get(slot);
-            rec.out_slots.set(slot, NO_TARGET);
-            prev
-        };
+        self.check_slot(owner_idx, slot)?;
+        let prev = self.arena.out_get(owner_idx, slot);
+        self.arena.out_set(owner_idx, slot, NO_TARGET);
         if prev != NO_TARGET {
-            self.dec_in_ref(prev, owner_idx);
+            self.arena.in_remove(prev, owner_idx);
             self.filled_slots -= 1;
             if self.observing() {
                 self.mark_dirty(owner_idx);
@@ -1373,6 +1162,22 @@ impl DynamicGraph {
             }
         }
         Ok((prev != NO_TARGET).then_some(prev))
+    }
+
+    /// Validates that `owner_idx` is alive and owns out-slot `slot`.
+    fn check_slot(&self, owner_idx: u32, slot: usize) -> Result<()> {
+        if !self.occupied(owner_idx) {
+            return Err(GraphError::VacantIndex(owner_idx));
+        }
+        let len = self.arena.lists(owner_idx).out_len();
+        if slot >= len {
+            return Err(GraphError::SlotOutOfRange {
+                node: self.arena.id(owner_idx),
+                slot,
+                len,
+            });
+        }
+        Ok(())
     }
 
     /// Removes `id` and every edge incident to it.
@@ -1415,13 +1220,25 @@ impl DynamicGraph {
         out.dangling_slots.clear();
         out.dangling_dense.clear();
 
-        let record = self
-            .slab
-            .get_mut(idx as usize)
-            .and_then(Option::take)
-            .ok_or(GraphError::VacantIndex(idx))?;
-        out.id = record.id;
-        self.index.remove(&record.id);
+        if !self.occupied(idx) {
+            return Err(GraphError::VacantIndex(idx));
+        }
+        let id = self.arena.id(idx);
+        out.id = id;
+        // Copy the dying node's adjacency aside (its cell is vacated before
+        // the neighbours are unhooked): targets first, then in-reference
+        // owners. Every record the removal will mutate is then loaded once,
+        // independently, so the misses overlap instead of forming a chain.
+        let mut adjacent = std::mem::take(&mut self.removal_scratch);
+        adjacent.clear();
+        let lists = self.arena.lists(idx);
+        adjacent.extend(lists.targets());
+        let target_count = adjacent.len();
+        adjacent.extend(lists.ins());
+        self.arena.touch(adjacent.iter().copied());
+        let member_pos = self.arena.member_pos(idx);
+        self.arena.vacate(idx);
+        self.index.remove(&id);
         // Clear the behavior tag so a recycled cell never inherits it. The
         // slab may have grown past the tag array since the last assignment,
         // hence the bounds-checked access.
@@ -1435,24 +1252,21 @@ impl DynamicGraph {
         }
         if self.observing() {
             if let Some(delta) = self.delta.as_deref_mut() {
-                delta.deaths.push((idx, record.id));
+                delta.deaths.push((idx, id));
             }
             self.mark_dirty(idx);
             // Every endpoint of an incident edge changes adjacency: the dead
             // node's own targets and the owners of the slots pointing at it.
-            for target in record.out_slots.iter().filter(|&t| t != NO_TARGET) {
-                self.mark_dirty(target);
-            }
-            for owner in record.in_refs.iter() {
-                self.mark_dirty(owner);
+            for &cell in &adjacent {
+                self.mark_dirty(cell);
             }
         }
 
         // Unhook from the dense member list (swap-remove, O(1)).
-        let pos = record.member_pos as usize;
+        let pos = member_pos as usize;
         self.members.swap_remove(pos);
         if let Some(&moved) = self.members.get(pos) {
-            self.record_mut(moved).member_pos = pos as u32;
+            self.arena.set_member_pos(moved, pos as u32);
         }
         self.free.push(idx);
         // Invalidate outstanding handles to this cell: occupied-odd →
@@ -1461,33 +1275,33 @@ impl DynamicGraph {
         self.generations[idx as usize] = self.generations[idx as usize].wrapping_add(1);
 
         // The dead node's own requests: drop the in-references they created.
-        for target in record.out_slots.iter().filter(|&t| t != NO_TARGET) {
-            out.out_targets.push(self.record(target).id);
+        let (targets, owners) = adjacent.split_at(target_count);
+        for &target in targets {
+            out.out_targets.push(self.arena.id(target));
             self.filled_slots -= 1;
-            Self::dec_in_ref_list(&mut self.record_mut(target).in_refs, idx);
+            self.arena.in_remove(target, idx);
         }
 
         // Surviving out-slots pointing at the dead node become dangling. The
         // in-reference multiset holds one entry per pointing slot (owners
         // repeated with multiplicity), and each iteration clears exactly the
         // first still-pointing slot of that owner.
-        for owner in record.in_refs.iter() {
+        for &owner in owners {
             if owner == idx {
                 continue;
             }
-            let owner_rec = self.record_mut(owner);
-            let owner_id = owner_rec.id;
-            let slot = owner_rec
-                .out_slots
-                .position(idx)
+            let slot = self
+                .arena
+                .out_position(owner, idx)
                 .expect("in-reference implies a pointing out-slot");
-            owner_rec.out_slots.set(slot, NO_TARGET);
+            self.arena.out_set(owner, slot, NO_TARGET);
             out.dangling_slots.push(EdgeSlot {
-                owner: owner_id,
+                owner: self.arena.id(owner),
                 slot,
             });
             out.dangling_dense.push((owner, slot));
         }
+        self.removal_scratch = adjacent;
         self.filled_slots -= out.dangling_slots.len();
 
         // Sort both dangling views in lockstep by (owner, slot). Degrees are
@@ -1513,14 +1327,8 @@ impl DynamicGraph {
     /// [`Self::out_slots_into`] with a reused buffer in loops over many nodes.
     #[must_use]
     pub fn out_slots(&self, id: NodeId) -> Option<Vec<Option<NodeId>>> {
-        let idx = self.dense_index_of(id)?;
-        Some(
-            self.record(idx)
-                .out_slots
-                .iter()
-                .map(|slot| (slot != NO_TARGET).then(|| self.record(slot).id))
-                .collect(),
-        )
+        let mut out = Vec::new();
+        self.out_slots_into(id, &mut out).then_some(out)
     }
 
     /// Appends the out-slot targets of `id` (in slot order, `None` for
@@ -1531,10 +1339,8 @@ impl DynamicGraph {
             return false;
         };
         out.extend(
-            self.record(idx)
-                .out_slots
-                .iter()
-                .map(|slot| (slot != NO_TARGET).then(|| self.record(slot).id)),
+            self.out_slot_targets_at(idx)
+                .map(|slot| slot.map(|t| self.id_of(t))),
         );
         true
     }
@@ -1543,14 +1349,14 @@ impl DynamicGraph {
     #[must_use]
     pub fn out_slot_count(&self, id: NodeId) -> Option<usize> {
         let idx = self.dense_index_of(id)?;
-        Some(self.record(idx).out_slots.len())
+        Some(self.arena.lists(idx).out_len())
     }
 
     /// Number of currently connected out-slots of `id`.
     #[must_use]
     pub fn out_degree(&self, id: NodeId) -> Option<usize> {
         let idx = self.dense_index_of(id)?;
-        Some(self.record(idx).filled_out())
+        Some(self.arena.lists(idx).targets().count())
     }
 
     /// Indices of the currently unconnected out-slots of `id`.
@@ -1558,11 +1364,9 @@ impl DynamicGraph {
     pub fn empty_out_slots(&self, id: NodeId) -> Option<Vec<usize>> {
         let idx = self.dense_index_of(id)?;
         Some(
-            self.record(idx)
-                .out_slots
-                .iter()
+            self.out_slot_targets_at(idx)
                 .enumerate()
-                .filter_map(|(i, s)| (s == NO_TARGET).then_some(i))
+                .filter_map(|(i, s)| s.is_none().then_some(i))
                 .collect(),
         )
     }
@@ -1572,10 +1376,10 @@ impl DynamicGraph {
     pub fn in_neighbors(&self, id: NodeId) -> Option<Vec<NodeId>> {
         let idx = self.dense_index_of(id)?;
         let mut v: Vec<NodeId> = self
-            .record(idx)
-            .in_refs
-            .iter()
-            .map(|owner| self.record(owner).id)
+            .arena
+            .lists(idx)
+            .ins()
+            .map(|owner| self.id_of(owner))
             .collect();
         v.sort_unstable();
         v.dedup();
@@ -1587,7 +1391,7 @@ impl DynamicGraph {
     #[must_use]
     pub fn in_request_count(&self, id: NodeId) -> Option<usize> {
         let idx = self.dense_index_of(id)?;
-        Some(self.record(idx).in_refs.len())
+        Some(self.arena.lists(idx).in_len())
     }
 
     /// Distinct undirected neighbours of `id` (union of out-targets and
@@ -1595,9 +1399,10 @@ impl DynamicGraph {
     #[must_use]
     pub fn neighbors(&self, id: NodeId) -> Option<Vec<NodeId>> {
         let idx = self.dense_index_of(id)?;
-        let mut dense = Vec::new();
-        self.neighbors_dense_into(idx, &mut dense);
-        let mut ids: Vec<NodeId> = dense.into_iter().map(|i| self.record(i).id).collect();
+        let mut ids: Vec<NodeId> = self
+            .neighbor_indices_at(idx)
+            .map(|i| self.id_of(i))
+            .collect();
         ids.sort_unstable();
         ids.dedup();
         Some(ids)
@@ -1622,8 +1427,7 @@ impl DynamicGraph {
     #[must_use]
     pub fn is_isolated(&self, id: NodeId) -> Option<bool> {
         let idx = self.dense_index_of(id)?;
-        let rec = self.record(idx);
-        Some(rec.filled_out() == 0 && rec.in_refs.is_empty())
+        Some(self.arena.lists(idx).incident_links() == 0)
     }
 
     /// Returns `true` when `u` and `v` are adjacent (in either direction).
@@ -1632,8 +1436,7 @@ impl DynamicGraph {
         let (Some(u_idx), Some(v_idx)) = (self.dense_index_of(u), self.dense_index_of(v)) else {
             return false;
         };
-        let rec = self.record(u_idx);
-        rec.out_slots.contains(v_idx) || rec.in_refs.contains(v_idx)
+        self.has_edge_at(u_idx, v_idx)
     }
 
     /// Verifies internal invariants; used by tests and debug assertions.
@@ -1647,17 +1450,15 @@ impl DynamicGraph {
     ///
     /// Panics with a descriptive message when an invariant is violated.
     pub fn assert_invariants(&self) {
+        let cells = self.arena.len();
         // Slab occupancy matches members + free list.
         assert_eq!(
             self.members.len() + self.free.len(),
-            self.slab.len(),
+            cells,
             "member list and free list must partition the slab"
         );
         for &idx in &self.free {
-            assert!(
-                self.slab[idx as usize].is_none(),
-                "free-list cell {idx} is occupied"
-            );
+            assert!(!self.occupied(idx), "free-list cell {idx} is occupied");
         }
         assert_eq!(
             self.index.len(),
@@ -1666,49 +1467,47 @@ impl DynamicGraph {
         );
         assert_eq!(
             self.generations.len(),
-            self.slab.len(),
+            cells,
             "generation counters must cover the whole slab"
         );
-        for (idx, cell) in self.slab.iter().enumerate() {
+        for idx in 0..cells as u32 {
             assert_eq!(
-                self.generations[idx] % 2 == 1,
-                cell.is_some(),
+                self.generations[idx as usize] % 2 == 1,
+                self.occupied(idx),
                 "generation parity of cell {idx} must encode its occupancy"
             );
         }
         if self.id_sorted {
             let mut last: Option<NodeId> = None;
-            for cell in self.slab.iter().flatten() {
+            for id in (0..cells as u32).filter_map(|idx| self.id_at(idx)) {
                 assert!(
-                    last.is_none_or(|prev| prev < cell.id),
+                    last.is_none_or(|prev| prev < id),
                     "id_sorted layout flag is set but slab order is not id-sorted"
                 );
-                last = Some(cell.id);
+                last = Some(id);
             }
         }
 
         let mut expected_in: HashMap<u32, Vec<u32>> = HashMap::new();
         let mut filled = 0usize;
         for &u in &self.members {
-            let rec = self.record(u);
+            let id = self.id_of(u);
             assert_eq!(
-                self.members[rec.member_pos as usize], u,
-                "member_pos of {} is stale",
-                rec.id
+                self.members[self.arena.member_pos(u) as usize],
+                u,
+                "member_pos of {id} is stale"
             );
             assert_eq!(
-                self.index.get(&rec.id),
+                self.index.get(&id),
                 Some(&u),
-                "identifier map disagrees for {}",
-                rec.id
+                "identifier map disagrees for {id}"
             );
-            for target in rec.out_slots.iter().filter(|&t| t != NO_TARGET) {
+            for target in self.arena.lists(u).targets() {
                 assert!(
                     self.occupied(target),
-                    "out-slot of {} points at vacant cell {target}",
-                    rec.id
+                    "out-slot of {id} points at vacant cell {target}"
                 );
-                assert_ne!(u, target, "self-loop at {}", rec.id);
+                assert_ne!(u, target, "self-loop at {id}");
                 filled += 1;
                 expected_in.entry(target).or_default().push(u);
             }
@@ -1719,38 +1518,21 @@ impl DynamicGraph {
             self.filled_slots
         );
         for &v in &self.members {
-            let rec = self.record(v);
             let mut expected = expected_in.remove(&v).unwrap_or_default();
-            let mut actual: Vec<u32> = rec.in_refs.iter().collect();
+            let mut actual: Vec<u32> = self.arena.lists(v).ins().collect();
             expected.sort_unstable();
             actual.sort_unstable();
             assert_eq!(
-                actual, expected,
+                actual,
+                expected,
                 "in-reference multiset of {} is inconsistent",
-                rec.id
+                self.id_of(v)
             );
         }
         assert!(
             expected_in.is_empty(),
             "in-references recorded for vacant cells: {expected_in:?}"
         );
-    }
-
-    #[inline]
-    fn inc_in_ref(&mut self, target: u32, owner: u32) {
-        self.record_mut(target).in_refs.push(owner);
-    }
-
-    #[inline]
-    fn dec_in_ref(&mut self, target: u32, owner: u32) {
-        Self::dec_in_ref_list(&mut self.record_mut(target).in_refs, owner);
-    }
-
-    #[inline]
-    fn dec_in_ref_list(refs: &mut MiniVec<12>, owner: u32) {
-        if let Some(pos) = refs.position(owner) {
-            refs.swap_remove(pos);
-        }
     }
 }
 
@@ -2177,8 +1959,9 @@ mod tests {
         assert_eq!(shed_owner(&mut g), id(4));
         g.assert_invariants();
 
-        // Same walk with enough links to spill past the inline in-reference
-        // capacity (12), covering remove_front's spill branch.
+        // Same walk with enough links to overflow the inline in-references
+        // (11 when the first node has out-degree 1), covering the
+        // order-preserving front removal across the overflow boundary.
         let mut g = DynamicGraph::new();
         g.add_node(id(0), 1).unwrap();
         for raw in 1..=15 {
@@ -2495,7 +2278,7 @@ mod tests {
         let excludes: Vec<u32> = vec![0, SAMPLE_SKIP, 5, 19, SAMPLE_SKIP, 3];
         let mut bulk = Vec::new();
         let mut rng = StdRng::seed_from_u64(7);
-        g.sample_members_each_excluding_into(&mut rng, &excludes, &mut bulk);
+        g.sample_members_each_excluding_into(&mut rng, excludes.iter().copied(), &mut bulk);
         let mut reference = Vec::new();
         let mut rng = StdRng::seed_from_u64(7);
         for &exclude in &excludes {
@@ -2519,7 +2302,7 @@ mod tests {
         let mut lone = DynamicGraph::new();
         lone.add_node(id(0), 0).unwrap();
         let mut out = Vec::new();
-        lone.sample_members_each_excluding_into(&mut rng, &[0], &mut out);
+        lone.sample_members_each_excluding_into(&mut rng, [0], &mut out);
         assert_eq!(out, vec![SAMPLE_NONE]);
     }
 

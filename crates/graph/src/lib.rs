@@ -28,11 +28,18 @@
 //! ## Dense-index architecture
 //!
 //! [`DynamicGraph`] is a **slab arena**: each alive node occupies one cell of a
-//! contiguous array addressed by a dense `u32` index, vacated cells are
-//! recycled through a free list, and all adjacency state (out-slot targets,
-//! the in-reference multiset) is stored as dense indices with small inline
-//! capacity — steady-state churn touches no hash table and performs no heap
-//! allocation. Every mutator exists in two flavours:
+//! contiguous array addressed by a dense `u32` index, and vacated cells are
+//! recycled through a free list. A cell is one fixed-width record in a single
+//! flat `u32` arena — identifier, member position, list lengths, then the
+//! out-slot targets and the in-reference multiset as dense indices. The
+//! record width follows the out-degree `d` of the first node inserted: `d`
+//! out-slots (at most 32) and at least `d + 12` in-references inline,
+//! rounded up to 32 bytes (128 bytes at `d = 8`, 224 at `d = 20`). Lists that
+//! outgrow their inline room continue in a side store whose buffers are
+//! recycled with their capacity, so steady-state churn performs no heap
+//! allocation.
+//! The identifier map is still updated on every birth and death; every other
+//! churn step works on dense indices. Every mutator exists in two flavours:
 //!
 //! * **identifier-based** (`add_node`, `set_out_slot`, `remove_node`, …) — the
 //!   stable public API, resolving [`NodeId`]s through one hash lookup;
@@ -82,6 +89,7 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
+mod arena;
 mod error;
 mod graph;
 mod node;

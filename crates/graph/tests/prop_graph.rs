@@ -4,8 +4,13 @@
 //! arbitrary interleavings of joins, leaves and rewirings — exactly the kind of
 //! operation sequences the churn models generate — plus structural identities of
 //! snapshots, traversal and expansion.
+//!
+//! Out-degrees range past the widest inline record (32 out-slots) and a
+//! hub-biased rewire piles in-references onto the oldest alive node, so both
+//! adjacency lists overflow their inline capacity into the side store, and
+//! hub deaths recycle its entries.
 
-use std::collections::HashSet;
+use std::collections::{BTreeMap, HashSet};
 
 use churn_graph::expansion::{
     exact_isoperimetric, expansion_of, outer_boundary, ExpansionConfig, ExpansionEstimator,
@@ -30,104 +35,175 @@ enum Op {
         slot: usize,
         target: usize,
     },
+    /// A rewire whose target is the oldest alive node.
+    RewireToHub {
+        owner: usize,
+        slot: usize,
+    },
     Clear {
         owner: usize,
         slot: usize,
     },
+    /// Severs the oldest in-reference of a node.
+    Shed {
+        victim: usize,
+    },
 }
 
+/// Out-degrees and slot picks reach past the widest inline out-slot record.
+const MAX_OUT: usize = 40;
+
 fn op_strategy() -> impl Strategy<Value = Op> {
+    let add = || {
+        // Mostly small degrees, so the first node usually fixes a narrow
+        // record (few inline in-references) and wide nodes overflow it.
+        prop_oneof![Just(0usize), 0usize..4, 0usize..MAX_OUT]
+            .prop_map(|out_degree| Op::Add { out_degree })
+    };
+    let hub_rewire =
+        || (0usize..64, 0usize..MAX_OUT).prop_map(|(owner, slot)| Op::RewireToHub { owner, slot });
+    // Adds and hub rewires are listed repeatedly: the population grows and
+    // the oldest node collects more in-references than any inline record
+    // holds.
     prop_oneof![
-        (0usize..6).prop_map(|out_degree| Op::Add { out_degree }),
+        add(),
+        add(),
         (0usize..64).prop_map(|victim| Op::Remove { victim }),
-        (0usize..64, 0usize..6, 0usize..64).prop_map(|(owner, slot, target)| Op::Rewire {
+        (0usize..64, 0usize..MAX_OUT, 0usize..64).prop_map(|(owner, slot, target)| Op::Rewire {
             owner,
             slot,
             target
         }),
-        (0usize..64, 0usize..6).prop_map(|(owner, slot)| Op::Clear { owner, slot }),
+        hub_rewire(),
+        hub_rewire(),
+        hub_rewire(),
+        hub_rewire(),
+        (0usize..64, 0usize..MAX_OUT).prop_map(|(owner, slot)| Op::Clear { owner, slot }),
+        // Half the sheds hit the hub.
+        prop_oneof![Just(0usize), 0usize..64].prop_map(|victim| Op::Shed { victim }),
     ]
+}
+
+/// Resolves an op against the alive list (oldest first) to a concrete
+/// mutation, or `None` when it does not apply to the current graph.
+fn resolve(op: &Op, g: &DynamicGraph, alive: &[NodeId]) -> Option<Mutation> {
+    let slot_of = |owner: NodeId, slot: usize| {
+        let slots = g.out_slot_count(owner).unwrap_or(0);
+        (slots > 0).then(|| slot % slots)
+    };
+    let pick = |i: usize| alive[i % alive.len()];
+    match *op {
+        Op::Add { out_degree } => Some(Mutation::Add(out_degree)),
+        Op::Remove { victim } => {
+            (!alive.is_empty()).then(|| Mutation::Remove(victim % alive.len()))
+        }
+        Op::Rewire {
+            owner,
+            slot,
+            target,
+        } => {
+            if alive.len() < 2 {
+                return None;
+            }
+            let (o, t) = (pick(owner), pick(target));
+            (o != t).then_some(())?;
+            Some(Mutation::Set(o, slot_of(o, slot)?, t))
+        }
+        Op::RewireToHub { owner, slot } => {
+            if alive.len() < 2 {
+                return None;
+            }
+            let (o, t) = (pick(owner), alive[0]);
+            (o != t).then_some(())?;
+            Some(Mutation::Set(o, slot_of(o, slot)?, t))
+        }
+        Op::Clear { owner, slot } => {
+            if alive.is_empty() {
+                return None;
+            }
+            let o = pick(owner);
+            Some(Mutation::Clear(o, slot_of(o, slot)?))
+        }
+        Op::Shed { victim } => (!alive.is_empty()).then(|| Mutation::Shed(pick(victim))),
+    }
+}
+
+/// A concrete, valid graph mutation.
+enum Mutation {
+    Add(usize),
+    /// Position in the alive list.
+    Remove(usize),
+    Set(NodeId, usize, NodeId),
+    Clear(NodeId, usize),
+    Shed(NodeId),
 }
 
 /// Applies a sequence of operations, ignoring rejected ones (the point is the
 /// invariant check, not that every random op is valid).
 fn apply_ops(ops: &[Op]) -> DynamicGraph {
-    let mut g = DynamicGraph::new();
-    let mut alive: Vec<NodeId> = Vec::new();
-    let mut next_id = 0u64;
-    for op in ops {
-        match op {
-            Op::Add { out_degree } => {
-                let id = NodeId::new(next_id);
-                next_id += 1;
-                g.add_node(id, *out_degree).expect("fresh id");
-                alive.push(id);
-            }
-            Op::Remove { victim } => {
-                if alive.is_empty() {
-                    continue;
-                }
-                let idx = victim % alive.len();
-                let id = alive.swap_remove(idx);
-                g.remove_node(id).expect("alive node");
-            }
-            Op::Rewire {
-                owner,
-                slot,
-                target,
-            } => {
-                if alive.len() < 2 {
-                    continue;
-                }
-                let o = alive[owner % alive.len()];
-                let t = alive[target % alive.len()];
-                if o == t {
-                    continue;
-                }
-                let slots = g.out_slot_count(o).unwrap_or(0);
-                if slots == 0 {
-                    continue;
-                }
-                g.set_out_slot(o, slot % slots, t).expect("valid rewire");
-            }
-            Op::Clear { owner, slot } => {
-                if alive.is_empty() {
-                    continue;
-                }
-                let o = alive[owner % alive.len()];
-                let slots = g.out_slot_count(o).unwrap_or(0);
-                if slots == 0 {
-                    continue;
-                }
-                g.clear_out_slot(o, slot % slots).expect("valid clear");
-            }
-        }
-    }
-    g
+    mirror_ops(ops).0
 }
 
 /// An obviously-correct identifier-keyed mirror of the out-slot semantics,
 /// used to cross-check the slab implementation (including index recycling).
+///
+/// It also mirrors the documented *order* of each in-reference multiset:
+/// a new link appends its owner, a dropped link swap-removes the owner's
+/// first entry (the last entry takes its place), and shedding removes the
+/// front entry keeping the rest in order.
 #[derive(Debug, Default)]
 struct NaiveGraph {
-    nodes: std::collections::BTreeMap<NodeId, Vec<Option<NodeId>>>,
+    nodes: BTreeMap<NodeId, Vec<Option<NodeId>>>,
+    in_order: BTreeMap<NodeId, Vec<NodeId>>,
 }
 
 impl NaiveGraph {
     fn add(&mut self, id: NodeId, out_degree: usize) {
         self.nodes.insert(id, vec![None; out_degree]);
+        self.in_order.insert(id, Vec::new());
+    }
+
+    fn drop_in_ref(&mut self, target: NodeId, owner: NodeId) {
+        let refs = self.in_order.get_mut(&target).unwrap();
+        let pos = refs.iter().position(|&o| o == owner).unwrap();
+        refs.swap_remove(pos);
     }
 
     fn set(&mut self, owner: NodeId, slot: usize, target: NodeId) {
-        self.nodes.get_mut(&owner).unwrap()[slot] = Some(target);
+        let prev = self.nodes.get_mut(&owner).unwrap()[slot].replace(target);
+        if prev != Some(target) {
+            if let Some(prev) = prev {
+                self.drop_in_ref(prev, owner);
+            }
+            self.in_order.get_mut(&target).unwrap().push(owner);
+        }
     }
 
     fn clear(&mut self, owner: NodeId, slot: usize) {
-        self.nodes.get_mut(&owner).unwrap()[slot] = None;
+        if let Some(prev) = self.nodes.get_mut(&owner).unwrap()[slot].take() {
+            self.drop_in_ref(prev, owner);
+        }
+    }
+
+    /// Severs the front in-reference of `id`: the owner's first slot
+    /// pointing at `id` is cleared.
+    fn shed(&mut self, id: NodeId) {
+        let refs = self.in_order.get_mut(&id).unwrap();
+        if refs.is_empty() {
+            return;
+        }
+        let owner = refs.remove(0);
+        let slots = self.nodes.get_mut(&owner).unwrap();
+        let slot = slots.iter().position(|&t| t == Some(id)).unwrap();
+        slots[slot] = None;
     }
 
     fn remove(&mut self, id: NodeId) {
-        self.nodes.remove(&id);
+        let slots = self.nodes.remove(&id).unwrap();
+        for target in slots.into_iter().flatten() {
+            self.drop_in_ref(target, id);
+        }
+        self.in_order.remove(&id);
         for slots in self.nodes.values_mut() {
             for slot in slots.iter_mut() {
                 if *slot == Some(id) {
@@ -135,6 +211,14 @@ impl NaiveGraph {
                 }
             }
         }
+    }
+
+    /// Neighbours in the graph's iteration order: connected out-slots in
+    /// slot order, then in-reference owners in multiset order.
+    fn neighbor_order(&self, id: NodeId) -> Vec<NodeId> {
+        let mut out: Vec<NodeId> = self.nodes[&id].iter().flatten().copied().collect();
+        out.extend(&self.in_order[&id]);
+        out
     }
 
     fn sorted_ids(&self) -> Vec<NodeId> {
@@ -184,6 +268,57 @@ impl NaiveGraph {
         }
         edges.len()
     }
+}
+
+/// Applies `ops` to a graph and to the naive reference in lockstep,
+/// checking the graph's invariants and every removal's dangling report after
+/// each step. Returns both plus the peak alive population.
+fn mirror_ops(ops: &[Op]) -> (DynamicGraph, NaiveGraph, usize) {
+    let mut g = DynamicGraph::new();
+    let mut reference = NaiveGraph::default();
+    let mut alive: Vec<NodeId> = Vec::new();
+    let mut next_id = 0u64;
+    let mut peak_alive = 0usize;
+    for op in ops {
+        match resolve(op, &g, &alive) {
+            None => {}
+            Some(Mutation::Add(out_degree)) => {
+                let id = NodeId::new(next_id);
+                next_id += 1;
+                g.add_node(id, out_degree).expect("fresh id");
+                reference.add(id, out_degree);
+                alive.push(id);
+                peak_alive = peak_alive.max(alive.len());
+            }
+            Some(Mutation::Remove(pos)) => {
+                let id = alive.remove(pos);
+                let removed = g.remove_node(id).expect("alive node");
+                reference.remove(id);
+                // The dense dangling view names the same slots.
+                assert_eq!(removed.dangling_dense.len(), removed.dangling_slots.len());
+                for (edge_slot, &(owner_idx, slot)) in
+                    removed.dangling_slots.iter().zip(&removed.dangling_dense)
+                {
+                    assert_eq!(g.id_at(owner_idx), Some(edge_slot.owner));
+                    assert_eq!(edge_slot.slot, slot);
+                }
+            }
+            Some(Mutation::Set(o, slot, t)) => {
+                g.set_out_slot(o, slot, t).expect("valid rewire");
+                reference.set(o, slot, t);
+            }
+            Some(Mutation::Clear(o, slot)) => {
+                g.clear_out_slot(o, slot).expect("valid clear");
+                reference.clear(o, slot);
+            }
+            Some(Mutation::Shed(v)) => {
+                g.shed_oldest_in_ref(g.dense_index_of(v).unwrap());
+                reference.shed(v);
+            }
+        }
+        g.assert_invariants();
+    }
+    (g, reference, peak_alive)
 }
 
 proptest! {
@@ -268,73 +403,12 @@ proptest! {
     }
 
     /// The slab graph agrees with a naive identifier-keyed reference under
-    /// arbitrary add/remove/rewire/clear interleavings — including after slab
-    /// cells have been vacated and recycled for new nodes, which is where a
-    /// stale dense index or unrecycled in-reference would show up.
+    /// arbitrary add/remove/rewire/clear/shed interleavings — including after
+    /// slab cells have been vacated and recycled for new nodes, which is where
+    /// a stale dense index or unrecycled in-reference would show up.
     #[test]
     fn slab_recycling_matches_naive_reference(ops in proptest::collection::vec(op_strategy(), 0..200)) {
-        let mut g = DynamicGraph::new();
-        let mut reference = NaiveGraph::default();
-        let mut alive: Vec<NodeId> = Vec::new();
-        let mut next_id = 0u64;
-        let mut peak_alive = 0usize;
-        for op in &ops {
-            match op {
-                Op::Add { out_degree } => {
-                    let id = NodeId::new(next_id);
-                    next_id += 1;
-                    g.add_node(id, *out_degree).expect("fresh id");
-                    reference.add(id, *out_degree);
-                    alive.push(id);
-                    peak_alive = peak_alive.max(alive.len());
-                }
-                Op::Remove { victim } => {
-                    if alive.is_empty() {
-                        continue;
-                    }
-                    let id = alive.swap_remove(victim % alive.len());
-                    let removed = g.remove_node(id).expect("alive node");
-                    reference.remove(id);
-                    // The dense dangling view names the same slots.
-                    prop_assert_eq!(removed.dangling_dense.len(), removed.dangling_slots.len());
-                    for (edge_slot, &(owner_idx, slot)) in
-                        removed.dangling_slots.iter().zip(&removed.dangling_dense)
-                    {
-                        prop_assert_eq!(g.id_at(owner_idx), Some(edge_slot.owner));
-                        prop_assert_eq!(edge_slot.slot, slot);
-                    }
-                }
-                Op::Rewire { owner, slot, target } => {
-                    if alive.len() < 2 {
-                        continue;
-                    }
-                    let o = alive[owner % alive.len()];
-                    let t = alive[target % alive.len()];
-                    if o == t {
-                        continue;
-                    }
-                    let slots = g.out_slot_count(o).unwrap_or(0);
-                    if slots == 0 {
-                        continue;
-                    }
-                    g.set_out_slot(o, slot % slots, t).expect("valid rewire");
-                    reference.set(o, slot % slots, t);
-                }
-                Op::Clear { owner, slot } => {
-                    if alive.is_empty() {
-                        continue;
-                    }
-                    let o = alive[owner % alive.len()];
-                    let slots = g.out_slot_count(o).unwrap_or(0);
-                    if slots == 0 {
-                        continue;
-                    }
-                    g.clear_out_slot(o, slot % slots).expect("valid clear");
-                    reference.clear(o, slot % slots);
-                }
-            }
-            g.assert_invariants();
-        }
+        let (g, reference, peak_alive) = mirror_ops(&ops);
 
         // Recycling really happened: the arena never outgrows the peak
         // concurrent population, no matter how many nodes ever existed.
@@ -355,6 +429,22 @@ proptest! {
         let snap = Snapshot::of(&g);
         prop_assert_eq!(snap.len(), reference.sorted_ids().len());
         prop_assert_eq!(snap.edge_count(), reference.distinct_edge_count());
+    }
+
+    /// `neighbor_indices_at` walks exactly the documented order — connected
+    /// out-slots in slot order, then in-reference owners in multiset order —
+    /// whether the lists sit inline or overflow into the side store.
+    #[test]
+    fn neighbor_iteration_follows_slot_then_multiset_order(
+        ops in proptest::collection::vec(op_strategy(), 0..200),
+    ) {
+        let (g, reference, _) = mirror_ops(&ops);
+        for id in reference.sorted_ids() {
+            let idx = g.dense_index_of(id).unwrap();
+            let order: Vec<NodeId> =
+                g.neighbor_indices_at(idx).map(|i| g.id_at(i).unwrap()).collect();
+            prop_assert_eq!(order, reference.neighbor_order(id));
+        }
     }
 
     /// On small graphs, the candidate-set estimator never reports a value below

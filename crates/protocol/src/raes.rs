@@ -616,7 +616,7 @@ impl RaesModel {
         self.sample_scratch.clear();
         self.graph.sample_members_each_excluding_into(
             &mut self.rng,
-            &self.exclude_scratch,
+            self.exclude_scratch.iter().copied(),
             &mut self.sample_scratch,
         );
 
@@ -944,8 +944,9 @@ impl DynamicNetwork for RaesModel {
     }
 
     fn warm_up(&mut self) {
+        let mut summary = ChurnSummary::new();
         while !self.is_warm() {
-            self.step_round();
+            self.step_round_into(&mut summary);
         }
     }
 
